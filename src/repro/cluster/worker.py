@@ -28,7 +28,7 @@ from repro.cluster.messages import PipeTransport, reply_error, reply_ok
 from repro.cluster.serialization import decode_query, encode_rows
 from repro.crowd.wallclock import WallClock
 from repro.dashboard import QueryDashboard
-from repro.errors import ClusterError, EngineOverloadedError, QurkError
+from repro.errors import ClusterError, EngineOverloadedError, QurkError, RecoveryError
 from repro.testing.chaos import fingerprint_engine
 
 __all__ = ["EngineSpec", "ShardWorker", "worker_main"]
@@ -124,16 +124,31 @@ class ShardWorker:
             # Replay in LSN order restores submission order; an alias whose
             # engine query never made it into the log belongs to a
             # submission that died before becoming durable — the
-            # coordinator's retry will re-submit it.
+            # coordinator's retry will re-submit it.  A rejected
+            # submission's alias is retracted by its ``cluster_reject``.
+            aliases: dict[str, str] = {}
             for record in result.records:
+                if record.type == "cluster_reject":
+                    aliases.pop(record.data["cluster_id"], None)
+                    continue
                 if record.type != "cluster_alias":
                     continue
                 cluster_id = record.data["cluster_id"]
                 engine_id = record.data["query_id"]
-                if cluster_id in self._handles or engine_id not in self.engine.queries:
+                if cluster_id in aliases or engine_id not in self.engine.queries:
                     continue
-                self._handles[cluster_id] = self.engine.queries[engine_id]
-                self._order.append(cluster_id)
+                aliases[cluster_id] = engine_id
+            if len(set(aliases.values())) != len(aliases):
+                self.engine.journal.close()
+                raise RecoveryError(
+                    f"shard {shard_id} WAL maps several cluster ids to one engine query: "
+                    f"{aliases}"
+                )
+            self._handles = {
+                cluster_id: self.engine.queries[engine_id]
+                for cluster_id, engine_id in aliases.items()
+            }
+            self._order = list(aliases)
         else:
             self.engine = spec.build()
             directory.mkdir(parents=True, exist_ok=True)
@@ -210,12 +225,21 @@ class ShardWorker:
                     "query_id": f"q{self.engine._next_query_seq + 1}",
                 },
             )
-        handle = self.engine.query(
-            submission["sql"],
-            budget=submission["budget"],
-            priority=submission["priority"],
-            config=submission["config"],
-        )
+        try:
+            handle = self.engine.query(
+                submission["sql"],
+                budget=submission["budget"],
+                priority=submission["priority"],
+                config=submission["config"],
+            )
+        except Exception:
+            if journal is not None:
+                # A submission rejected before it got an engine id leaves
+                # the alias above naming the id the *next* accepted
+                # submission takes; retract it so recovery cannot map this
+                # rejected submission onto that query.
+                journal.record("cluster_reject", {"cluster_id": query_id})
+            raise
         self._handles[query_id] = handle
         self._order.append(query_id)
         self._submissions[query_id] = dict(payload)

@@ -15,6 +15,7 @@ from repro.storage.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover - avoids import cycle with the optimizer
     from repro.core.optimizer.optimizer import QueryOptimizer
+    from repro.core.plan.prepared import KernelMemo
 
 __all__ = ["QueryConfig", "ExecutionContext"]
 
@@ -69,6 +70,9 @@ class ExecutionContext:
     clock: SimulationClock
     config: QueryConfig = field(default_factory=QueryConfig)
     optimizer: "QueryOptimizer | None" = None
+    #: Compiled kernels shared by every query of one prepared statement
+    #: (see :meth:`~repro.core.operators.base.Operator.compile_kernel`).
+    kernels: "KernelMemo | None" = None
 
     def assignments_for(self, spec: TaskSpec) -> int:
         """Redundancy to use for a task of ``spec``.

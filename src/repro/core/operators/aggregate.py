@@ -153,9 +153,10 @@ class GroupByOperator(Operator):
             if aggregate.expression is None:
                 value_columns.append(None)  # COUNT(*): every row counts 1
             else:
-                value_columns.append(
-                    compile_batch_expression(aggregate.expression, input_schema)(combined)
+                kernel = self.compile_kernel(
+                    compile_batch_expression, aggregate.expression, input_schema
                 )
+                value_columns.append(kernel(combined))
 
         out: list[Row] = []
         for key in order:
@@ -212,9 +213,9 @@ class GroupByOperator(Operator):
                 return False
             array = accel.array_kernel(aggregate.expression, combined)
             if array is None:
-                column = compile_batch_expression(aggregate.expression, input_schema)(
-                    combined
-                )
+                column = self.compile_kernel(
+                    compile_batch_expression, aggregate.expression, input_schema
+                )(combined)
                 array = accel.numeric_array(column)
             if array is None:
                 return False

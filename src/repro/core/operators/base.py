@@ -130,6 +130,19 @@ class Operator:
             raise OperatorError(f"operator {self.name} was stepped before open()")
         return self._context
 
+    def compile_kernel(self, compile_fn, expression, schema):
+        """``compile_fn(expression, schema)``, memoized per prepared statement.
+
+        Operators pass their module's own ``compile_*`` function, so a miss
+        calls it exactly as an unmemoized compile would; queries of one SQL
+        text reuse the kernels through the context's
+        :class:`~repro.core.plan.prepared.KernelMemo`.
+        """
+        memo = self._context.kernels if self._context is not None else None
+        if memo is None:
+            return compile_fn(expression, schema)
+        return memo.compile(compile_fn, expression, schema)
+
     # -- data flow --------------------------------------------------------------------------
 
     def push(self, row: Row, slot: int = 0) -> None:

@@ -65,11 +65,11 @@ class CrowdFilterOperator(Operator):
         super().open(context)
         input_schema = self.children[0].output_schema if self.children else self._schema
         self._arg_fns = [
-            compile_expression(expression, input_schema)
+            self.compile_kernel(compile_expression, expression, input_schema)
             for expression in self.arg_expressions
         ]
         self._batch_arg_fns = [
-            compile_batch_expression(expression, input_schema)
+            self.compile_kernel(compile_batch_expression, expression, input_schema)
             for expression in self.arg_expressions
         ]
 

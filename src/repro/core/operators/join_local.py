@@ -155,7 +155,7 @@ class LocalHashJoinOperator(Operator):
         counts = np.bincount(codes_array, minlength=len(encoding))
         starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
-        probe_keys = compile_batch_expression(probe_key, probe_schema)(probe)
+        probe_keys = self.compile_kernel(compile_batch_expression, probe_key, probe_schema)(probe)
         code_of = encoding.code_of
         slices = []
         positions: list[int] = []
@@ -217,14 +217,16 @@ class LocalHashJoinOperator(Operator):
         buckets = self._index_backed_build(build, build_key, build_child)
         if buckets is None:
             build_schema = left_schema if self.build_side == "left" else right_schema
-            build_keys = compile_batch_expression(build_key, build_schema)(build)
+            build_keys = self.compile_kernel(
+                compile_batch_expression, build_key, build_schema
+            )(build)
             buckets = {}
             setdefault = buckets.setdefault
             for position, key in enumerate(build_keys):
                 if key is not None:
                     setdefault(key, []).append(position)
 
-        probe_keys = compile_batch_expression(probe_key, probe_schema)(probe)
+        probe_keys = self.compile_kernel(compile_batch_expression, probe_key, probe_schema)(probe)
         build_take: list[int] = []
         probe_take: list[int] = []
         get = buckets.get

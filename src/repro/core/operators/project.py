@@ -130,10 +130,11 @@ class ProjectOperator(Operator):
         if self.children:
             input_schema = self.children[0].output_schema
             self._compiled = [
-                compile_expression(item.expression, input_schema) for item in self.items
+                self.compile_kernel(compile_expression, item.expression, input_schema)
+                for item in self.items
             ]
             self._kernels = [
-                compile_batch_expression(item.expression, input_schema)
+                self.compile_kernel(compile_batch_expression, item.expression, input_schema)
                 for item in self.items
             ]
 
@@ -199,8 +200,10 @@ class LocalFilterOperator(Operator):
     def open(self, context: "ExecutionContext") -> None:
         super().open(context)
         input_schema = self.children[0].output_schema if self.children else self._schema
-        self._predicate_fn = compile_expression(self.predicate, input_schema)
-        self._mask_kernel = compile_batch_predicate(self.predicate, input_schema)
+        self._predicate_fn = self.compile_kernel(compile_expression, self.predicate, input_schema)
+        self._mask_kernel = self.compile_kernel(
+            compile_batch_predicate, self.predicate, input_schema
+        )
 
     def _process_batches(self, batch: RowBatch, slot: int) -> None:
         kernel = self._mask_kernel

@@ -64,7 +64,7 @@ class LocalSortOperator(Operator):
                 order = accel.np.argsort(key_array, kind="stable")
                 self.emit_rowbatch(combined._take_array(order))
                 return
-        keys = compile_batch_expression(self.key, input_schema)(combined)
+        keys = self.compile_kernel(compile_batch_expression, self.key, input_schema)(combined)
         if accel.HAVE_NUMPY and len(combined) >= _ACCEL_MIN_ROWS:
             key_array = accel.sortable_array(keys)
             if key_array is not None:

@@ -102,9 +102,16 @@ class QueryPlanner:
 
     # -- entry points -------------------------------------------------------------------
 
-    def plan(self, statement: SelectStatement, *, query_id: str = "") -> PlannedQuery:
-        """Plan a statement; the results table is created by the caller."""
-        logical = self.lower(statement)
+    def plan(
+        self, source: SelectStatement | LogicalPlan, *, query_id: str = ""
+    ) -> PlannedQuery:
+        """Plan a statement, or a logical plan lowered earlier.
+
+        A lowered ``source`` is used as a read-only template (the physical
+        planner clones every node it composes), so one lowering can serve
+        any number of plans.  The results table is created here.
+        """
+        logical = self._lowered(source)
         chosen, candidates = self.physical.choose(logical)
         top = self.physical.build(chosen.root)
         results_table = self.database.create_results_table(
@@ -115,19 +122,19 @@ class QueryPlanner:
         return PlannedQuery(
             root=sink,
             output_schema=top.output_schema,
-            statement=statement,
+            statement=logical.statement,
             logical=logical,
             candidates=candidates,
             chosen=chosen,
         )
 
-    def explain(self, statement: SelectStatement) -> str:
+    def explain(self, source: SelectStatement | LogicalPlan) -> str:
         """Render the logical plan, every costed candidate and the winner.
 
         Side-effect free: no results table is created and no operator is
         built, so EXPLAIN can be called on a live engine without cost.
         """
-        logical = self.lower(statement)
+        logical = self._lowered(source)
         default = self.physical.default_tree(logical)
         self.optimizer.estimate_logical_cost(default)
         chosen, candidates = self.physical.choose(logical)
@@ -148,6 +155,9 @@ class QueryPlanner:
         return "\n".join(lines)
 
     # -- phase 1: logical lowering ----------------------------------------------------------
+
+    def _lowered(self, source: SelectStatement | LogicalPlan) -> LogicalPlan:
+        return source if isinstance(source, LogicalPlan) else self.lower(source)
 
     def lower(self, statement: SelectStatement) -> LogicalPlan:
         """Rewrite a SELECT statement into the logical IR."""
@@ -189,9 +199,24 @@ class QueryPlanner:
         ]
 
         upper, rewritten_items = self._lower_generates(statement.select_items)
-        upper.extend(self._lower_order_by(statement))
-        grouping, rewritten_items = self._lower_grouping(statement, rewritten_items)
-        upper.extend(grouping)
+        sorts = self._lower_order_by(statement)
+        grouping, grouped_items = self._lower_grouping(statement, rewritten_items)
+        if grouping:
+            # A grouped query orders its groups: local sorts run above the
+            # group-by, keyed by its output columns (aggregate aliases too).
+            crowd_sorts = [sort for sort in sorts if sort.is_crowd]
+            local_sorts = [
+                LogicalSort(
+                    key=_grouped_sort_key(sort.key, rewritten_items, grouped_items),
+                    ascending=sort.ascending,
+                )
+                for sort in sorts
+                if not sort.is_crowd
+            ]
+            upper.extend(crowd_sorts + grouping + local_sorts)
+        else:
+            upper.extend(sorts)
+        rewritten_items = grouped_items
         if statement.limit is not None:
             upper.append(LogicalLimit(statement.limit))
         upper.append(LogicalProject(tuple(rewritten_items)))
@@ -372,8 +397,13 @@ class QueryPlanner:
     # -- ORDER BY -----------------------------------------------------------------------------------------
 
     def _lower_order_by(self, statement: SelectStatement) -> list[LogicalSort]:
+        """One sort per ORDER BY key, bottom-up from the last key to the first.
+
+        Sorts are stable, so the sort applied last (the first key) decides
+        the order and each earlier-applied key only breaks its ties.
+        """
         nodes: list[LogicalSort] = []
-        for order_item in statement.order_by:
+        for order_item in reversed(statement.order_by):
             expression = order_item.expression
             entry = None
             if isinstance(expression, FunctionCall):
@@ -462,6 +492,25 @@ def _as_crowd_call(
     if isinstance(expression, FunctionCall) and expression.name in registry:
         return expression, negated
     return None, False
+
+
+def _grouped_sort_key(
+    key: Expression,
+    select_items: list[SelectItem],
+    grouped_items: list[SelectItem],
+) -> Expression:
+    """An ORDER BY key of a grouped query, as a group-by output column.
+
+    A SELECT alias (``ORDER BY n`` for ``count(x) AS n``) or a repeated
+    SELECT expression (``ORDER BY count(x)``) resolves to the column the
+    group-by emits for that item; anything else (a group key) stays as is.
+    """
+    for item, grouped in zip(select_items, grouped_items):
+        if isinstance(key, ColumnRef) and item.alias == key.name:
+            return grouped.expression
+        if str(item.expression) == str(key):
+            return grouped.expression
+    return key
 
 
 def _rewrite_generates(

@@ -64,6 +64,9 @@ class TaskRegistry:
 
     def __init__(self) -> None:
         self._tasks: dict[str, RegisteredTask] = {}
+        #: Bumped by every registration, so caches of lowered plans that pin
+        #: registry entries know when to drop them.
+        self.version = 0
 
     def register(
         self,
@@ -85,6 +88,7 @@ class TaskRegistry:
             learnable=learnable,
         )
         self._tasks[spec.name.lower()] = entry
+        self.version += 1
         return entry
 
     def lookup(self, name: str) -> RegisteredTask | None:

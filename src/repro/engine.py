@@ -44,6 +44,7 @@ from repro.core.optimizer.cost_model import CostEstimate, CostModel
 from repro.core.optimizer.optimizer import OptimizerConfig, QueryOptimizer
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.plan.planner import QueryPlanner
+from repro.core.plan.prepared import PreparedStatement, PreparedStatementCache
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
 from repro.core.tasks.batching import BatchingPolicy
 from repro.core.tasks.hit_compiler import HITCompiler
@@ -216,6 +217,9 @@ class QurkEngine:
             overload_retry_after=overload_retry_after,
         )
         self.registry = TaskRegistry()
+        #: Parsed statements, logical templates and compiled kernels per
+        #: distinct SQL text (see :mod:`repro.core.plan.prepared`).
+        self.prepared = PreparedStatementCache()
         self.default_query_config = default_query_config or QueryConfig()
         self.queries: dict[str, QueryHandle] = {}
         # Plain int (not itertools.count) so recovery can restore it from a
@@ -321,7 +325,8 @@ class QurkEngine:
                     "a durable engine does not accept per-query config overrides; "
                     "set default_query_config on the engine instead"
                 )
-        statement = parse_select(sql) if isinstance(sql, str) else sql
+        prepared = self._prepare(sql)
+        statement = prepared.statement
         # Clone so per-query budget resolution never mutates the caller's (or
         # the engine's default) config, and new QueryConfig fields carry over.
         query_config = (config or self.default_query_config).clone()
@@ -349,7 +354,7 @@ class QurkEngine:
             )
         self.budget_ledger.register(query_id, effective_budget)
         planner = QueryPlanner(self.database, self.registry, self.optimizer, config=query_config)
-        planned = planner.plan(statement, query_id=query_id)
+        planned = planner.plan(prepared.lowered(planner), query_id=query_id)
         context = ExecutionContext(
             query_id=query_id,
             database=self.database,
@@ -359,6 +364,7 @@ class QurkEngine:
             clock=self.clock,
             config=query_config,
             optimizer=self.optimizer,
+            kernels=prepared.kernels,
         )
         executor = QueryExecutor(planned.root, context)
         raw_sql = statement.raw_sql or (sql if isinstance(sql, str) else "")
@@ -386,14 +392,28 @@ class QurkEngine:
         physical candidate the enumerator costed, and the chosen plan.  No
         results table is created and no task is submitted.
         """
-        statement = parse_select(sql) if isinstance(sql, str) else sql
         planner = QueryPlanner(
             self.database,
             self.registry,
             self.optimizer,
             config=(config or self.default_query_config).clone(),
         )
-        return planner.explain(statement)
+        return planner.explain(self._prepare(sql).lowered(planner))
+
+    def _prepare(self, sql: str | SelectStatement) -> PreparedStatement:
+        """The prepared statement for ``sql``, parsing it on a cache miss.
+
+        SQL text goes through the engine's prepared-statement cache, keyed
+        by the exact text; a pre-parsed statement gets a fresh, uncached
+        entry.  A text that fails to parse raises and is never cached.
+        """
+        if not isinstance(sql, str):
+            return PreparedStatement(sql)
+        version = (self.database.ddl_version, self.registry.version)
+        prepared = self.prepared.lookup(sql, version)
+        if prepared is None:
+            prepared = self.prepared.store(sql, PreparedStatement(parse_select(sql)))
+        return prepared
 
     # -- durability --------------------------------------------------------------------------------
 

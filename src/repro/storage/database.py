@@ -25,6 +25,9 @@ class Database:
         self.name = name
         self.catalog = Catalog()
         self._results_counter = 0
+        #: Bumped by base-table DDL (not by results tables), so caches of
+        #: plans that pin ``Table`` objects know when to drop them.
+        self.ddl_version = 0
 
     # -- table management ----------------------------------------------------
 
@@ -37,6 +40,7 @@ class Database:
     ) -> Table:
         """Create a table from column specs (see :meth:`Schema.of`)."""
         schema = Schema.of(*columns)
+        self.ddl_version += 1
         return self.catalog.create_table(name, schema, if_not_exists=if_not_exists)
 
     def table(self, name: str) -> Table:
@@ -49,6 +53,7 @@ class Database:
 
     def drop_table(self, name: str, *, if_exists: bool = False) -> None:
         """Drop the named table."""
+        self.ddl_version += 1
         self.catalog.drop_table(name, if_exists=if_exists)
 
     # -- data loading ---------------------------------------------------------
