@@ -25,7 +25,6 @@ from repro.core.exec.context import ExecutionContext
 from repro.core.operators.base import Operator
 from repro.core.operators.sink import ResultSinkOperator
 from repro.errors import ExecutionError
-from repro.storage.batch import RowBatch
 
 __all__ = ["ExecutorMetrics", "QueryExecutor"]
 
@@ -175,11 +174,11 @@ class QueryExecutor:
         Used by the adaptive replanner to change a pending operator's
         strategy mid-query (e.g. a comparison sort for a rating sort).  The
         replacement inherits the old operator's position, input queues and
-        end-of-input signals, and any input rows the old operator had merely
-        buffered (:meth:`Operator.consumed_input`) are replayed in front of
-        the queues, so no tuple is lost or reordered.  Refuses to replace an
-        operator that has already submitted crowd work or emitted rows —
-        money spent is never discarded.
+        end-of-input signals, and any input batches the old operator had
+        merely buffered (:meth:`Operator.consumed_input`) are requeued as
+        they are in front of the queues, so no tuple is lost or reordered.
+        Refuses to replace an operator that has already submitted crowd work
+        or emitted rows — money spent is never discarded.
         """
         if old not in self._operators:
             raise ExecutionError(f"operator {old.name} is not part of this plan")
@@ -199,8 +198,8 @@ class QueryExecutor:
             child.parent = new
         new._in_queues = old._in_queues
         new._inputs_done = old._inputs_done
-        for row, slot in reversed(old.consumed_input()):
-            new._in_queues[slot].appendleft(RowBatch.single(row))
+        for batch, slot in reversed(old.consumed_input()):
+            new._in_queues[slot].appendleft(batch)
 
         new.parent = old.parent
         new.child_slot = old.child_slot

@@ -15,14 +15,12 @@ and it has flushed any internal buffers.
 Queues carry **column-major batches** (:class:`~repro.storage.batch.RowBatch`),
 not rows: the local data plane is columnar end-to-end, and rows materialize
 only at sinks, crowd-operator task-emission boundaries, and HIT compilation.
-Operators choose the abstraction level they need by overriding exactly one of
-three hooks, from most to least columnar:
-
-- :meth:`_process_batches` — batch in, batch out (local filter/project/
-  sort/join/aggregate); the default materializes rows and delegates down.
-- :meth:`_process_batch` — one slice of rows per call (sinks, crowd
-  operators that submit one task per row).
-- :meth:`_process` — one row per call (the simplest fallback).
+Every operator speaks one contract: batches arrive through :meth:`push`
+into a per-child queue, :meth:`step` hands them one at a time to the single
+input hook :meth:`process`, and produced batches leave through :meth:`emit`
+into the parent's queue.  Crowd operators that need rows call
+:meth:`RowBatch.to_rows` inside ``process``, and their task callbacks emit
+one-row batches (:meth:`RowBatch.single`).
 
 The drain budget is counted in *rows* regardless of batch shape, and a batch
 larger than the remaining budget is split at the boundary, so per-step row
@@ -38,7 +36,6 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import OperatorError
 from repro.storage.batch import RowBatch
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
@@ -138,37 +135,15 @@ class Operator:
         text reuse the kernels through the context's
         :class:`~repro.core.plan.prepared.KernelMemo`.
         """
-        memo = self._context.kernels if self._context is not None else None
+        memo = self.context.kernels
         if memo is None:
             return compile_fn(expression, schema)
         return memo.compile(compile_fn, expression, schema)
 
     # -- data flow --------------------------------------------------------------------------
 
-    def push(self, row: Row, slot: int = 0) -> None:
-        """Enqueue one input row from child ``slot`` (wrapped as a 1-row batch)."""
-        self._in_queues[slot].append(RowBatch.single(row))
-
-    def push_batch(self, rows: list[Row], slot: int = 0) -> None:
-        """Enqueue several input rows from child ``slot`` in one call.
-
-        Consecutive rows sharing a schema object become one column-major
-        batch; schema derivations are memoized, so a homogeneous list (the
-        overwhelmingly common case) transposes into a single batch.
-        """
-        if not rows:
-            return
-        queue = self._in_queues[slot]
-        start = 0
-        schema = rows[0].schema
-        for i in range(1, len(rows)):
-            if rows[i].schema is not schema:
-                queue.append(RowBatch.from_rows(schema, rows[start:i]))
-                start, schema = i, rows[i].schema
-        queue.append(RowBatch.from_rows(schema, rows[start:]))
-
-    def push_rowbatch(self, batch: RowBatch, slot: int = 0) -> None:
-        """Enqueue an already-columnar batch from child ``slot`` as-is."""
+    def push(self, batch: RowBatch, slot: int = 0) -> None:
+        """Enqueue an input batch from child ``slot`` as-is."""
         if len(batch):
             self._in_queues[slot].append(batch)
 
@@ -184,37 +159,24 @@ class Operator:
         """Total rows waiting in this operator's input queues."""
         return sum(len(batch) for queue in self._in_queues for batch in queue)
 
-    def emit(self, row: Row) -> None:
-        """Push a produced row into the parent's input queue."""
-        self.metrics.rows_out += 1
-        if self.parent is not None:
-            self.parent.push(row, self.child_slot)
-
-    def emit_batch(self, rows: list[Row]) -> None:
-        """Push several produced rows into the parent's queue in one call."""
-        if not rows:
-            return
-        self.metrics.rows_out += len(rows)
-        if self.parent is not None:
-            self.parent.push_batch(rows, self.child_slot)
-
-    def emit_rowbatch(self, batch: RowBatch) -> None:
-        """Push a produced column-major batch into the parent's queue as-is."""
+    def emit(self, batch: RowBatch) -> None:
+        """Push a produced batch into the parent's input queue as-is."""
         length = len(batch)
         if not length:
             return
         self.metrics.rows_out += length
         if self.parent is not None:
-            self.parent.push_rowbatch(batch, self.child_slot)
+            self.parent.push(batch, self.child_slot)
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        """Input rows this operator has drained but not irrevocably acted on.
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        """Input batches this operator has drained but not irrevocably acted on.
 
         Operators that merely *buffer* their input before submitting crowd
         work (joins, sorts) override this so the adaptive replanner can
-        replay those rows into a replacement operator.  Operators that act
-        on rows immediately return the empty list (the default), which makes
-        them non-replaceable once any input has been processed.
+        requeue those ``(batch, slot)`` pairs, in arrival order, into a
+        replacement operator.  Operators that act on input immediately
+        return the empty list (the default), which makes them
+        non-replaceable once any input has been processed.
         """
         return []
 
@@ -241,7 +203,7 @@ class Operator:
         """Perform a bounded amount of work.  Returns True when progress was made.
 
         Input queues hold column-major batches, drained one batch per
-        :meth:`_process_batches` call.  The drain budget counts *rows* and is
+        :meth:`process` call.  The drain budget counts *rows* and is
         shared across slots; a batch straddling the budget boundary is split
         there (the remainder goes back to the front of its queue), so the
         rows drained per step match the old one-``popleft``-per-row loop
@@ -259,7 +221,7 @@ class Operator:
                     size = budget
                 self.metrics.rows_in += size
                 budget -= size
-                self._process_batches(batch, slot)
+                self.process(batch, slot)
                 progress = True
             if budget <= 0:
                 break
@@ -269,30 +231,8 @@ class Operator:
             progress = True
         return progress
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
-        """Handle one column-major input batch.
-
-        Local operators with true batch-in/batch-out forms (column kernels,
-        selection vectors, gathers) override this.  The default materializes
-        the batch into rows and delegates to :meth:`_process_batch`, so
-        per-row operators — crowd operators above all — are untouched by the
-        columnar exchange format.
-        """
-        self._process_batch(batch.to_rows(), slot)
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        """Handle one slice of input rows.
-
-        The default is the per-row loop; operators with a cheaper bulk form
-        (buffer extends, compiled-expression loops, batch table appends)
-        override this instead of :meth:`_process`.
-        """
-        process = self._process
-        for row in rows:
-            process(row, slot)
-
-    def _process(self, row: Row, slot: int) -> None:
-        """Handle one input row (override in subclasses)."""
+    def process(self, batch: RowBatch, slot: int) -> None:
+        """Handle one column-major input batch from child ``slot`` (override)."""
         raise NotImplementedError
 
     def _on_inputs_finished(self) -> None:

@@ -2,20 +2,46 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro.core.operators.base import Operator
 from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import Task, TaskKind, TaskResult
 from repro.storage.batch import RowBatch
-from repro.storage.expressions import Expression, compile_batch_expression, compile_expression
+from repro.errors import ExpressionError
+from repro.storage.expressions import Expression, compile_batch_expression
 from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
     from repro.core.exec.context import ExecutionContext
 
-__all__ = ["CrowdFilterOperator"]
+__all__ = ["CrowdFilterOperator", "argument_tuples"]
+
+
+def argument_tuples(
+    kernels: list[Callable[[RowBatch], Sequence[Any]]],
+    expressions: list[Expression],
+    batch: RowBatch,
+) -> list[tuple[Any, ...]]:
+    """Each row's crowd-task argument tuple, one kernel call per argument.
+
+    A single kernel already reports the error per-row evaluation would hit
+    first; with several arguments, the first failing *row* may belong to a
+    later argument, so an :class:`ExpressionError` re-evaluates row-major —
+    every argument of row 0, then row 1, ... — to raise the same error the
+    per-row loop raises.
+    """
+    if not kernels:
+        return [()] * len(batch)
+    try:
+        columns = [kernel(batch) for kernel in kernels]
+    except ExpressionError:
+        for row in batch.to_rows():
+            for expression in expressions:
+                expression.evaluate(row)
+        raise
+    return list(zip(*columns))
 
 
 class CrowdFilterOperator(Operator):
@@ -54,8 +80,7 @@ class CrowdFilterOperator(Operator):
         self.cache_key_fn = cache_key_fn
         self.negate = negate
         self._schema = input_schema
-        self._arg_fns: list[Callable[[Row], Any]] | None = None
-        self._batch_arg_fns: list[Callable[[RowBatch], Any]] | None = None
+        self._arg_kernels: list[Callable[[RowBatch], Sequence[Any]]] = []
 
     @property
     def output_schema(self) -> Schema:
@@ -63,57 +88,25 @@ class CrowdFilterOperator(Operator):
 
     def open(self, context: "ExecutionContext") -> None:
         super().open(context)
-        input_schema = self.children[0].output_schema if self.children else self._schema
-        self._arg_fns = [
-            self.compile_kernel(compile_expression, expression, input_schema)
-            for expression in self.arg_expressions
-        ]
-        self._batch_arg_fns = [
-            self.compile_kernel(compile_batch_expression, expression, input_schema)
+        self._arg_kernels = [
+            self.compile_kernel(compile_batch_expression, expression, self._schema)
             for expression in self.arg_expressions
         ]
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def process(self, batch: RowBatch, slot: int) -> None:
         """Drain one columnar slice: argument kernels run batch-at-a-time.
 
         Each argument expression is evaluated once over the whole batch (a
         column kernel), so the per-row Python overhead left on this path is
         only what the task boundary genuinely requires.  Submission stays
-        per-row in batch order — one crowd task per row, identical args,
-        cache keys and ordering to the per-row loop — so HIT batching and
-        the determinism fingerprints are unchanged.
+        per-row in batch order — one crowd task per row, with redundancy
+        re-resolved per task so adaptive assignment keeps tightening
+        mid-query — so HIT batching and the determinism fingerprints do not
+        depend on batch shape.
         """
-        batch_fns = self._batch_arg_fns
-        if batch_fns is None:
-            self._process_batch(batch.to_rows(), slot)
-            return
-        arg_columns = [fn(batch) for fn in batch_fns]
-        rows = batch.to_rows()
-        if not arg_columns:
-            for row in rows:
-                self._submit(row, ())
-            return
-        for row, args in zip(rows, zip(*arg_columns)):
-            self._submit(row, tuple(args))
-
-    def _process_batch(self, rows: list[Row], slot: int) -> None:
-        """Drain a row-major slice, evaluating compiled args per row.
-
-        Task submission stays per-row (each row becomes one crowd task, and
-        redundancy is re-resolved per task so adaptive assignment keeps
-        tightening mid-query), but the name-resolution work is hoisted out.
-        """
-        arg_fns = self._arg_fns
-        if arg_fns is None:
-            for row in rows:
-                self._process(row, slot)
-            return
-        for row in rows:
-            self._submit(row, tuple(fn(row) for fn in arg_fns))
-
-    def _process(self, row: Row, slot: int) -> None:
-        args = tuple(expression.evaluate(row) for expression in self.arg_expressions)
-        self._submit(row, args)
+        arguments = argument_tuples(self._arg_kernels, self.arg_expressions, batch)
+        for row, args in zip(batch.to_rows(), arguments):
+            self._submit(row, args)
 
     def _submit(self, row: Row, args: tuple[Any, ...]) -> None:
         payload: dict[str, Any] = {"args": args, "row": row.to_dict()}
@@ -140,5 +133,5 @@ class CrowdFilterOperator(Operator):
         if self.negate:
             keep = not keep
         if keep:
-            self.emit(row)
+            self.emit(RowBatch.single(row))
         self._task_finished()

@@ -9,15 +9,20 @@ only pay for one HIT per distinct argument tuple.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.core.operators.base import Operator
+from repro.core.operators.crowd_filter import argument_tuples
 from repro.core.tasks.spec import TaskSpec
 from repro.core.tasks.task import Task, TaskKind, TaskResult
-from repro.storage.expressions import Expression
+from repro.storage.batch import RowBatch
+from repro.storage.expressions import Expression, compile_batch_expression
 from repro.storage.row import Row
 from repro.storage.schema import Column, Schema
 from repro.storage.types import DataType
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers only
+    from repro.core.exec.context import ExecutionContext
 
 __all__ = ["CrowdGenerateOperator"]
 
@@ -57,14 +62,27 @@ class CrowdGenerateOperator(Operator):
         self._new_columns = tuple(
             Column(f"{prefix}.{ret.name}", DataType.ANY) for ret in spec.returns
         )
+        self._input_schema = input_schema
         self._schema = input_schema.extend(*self._new_columns)
+        self._arg_kernels: list[Callable[[RowBatch], Sequence[Any]]] = []
 
     @property
     def output_schema(self) -> Schema:
         return self._schema
 
-    def _process(self, row: Row, slot: int) -> None:
-        args = tuple(expression.evaluate(row) for expression in self.arg_expressions)
+    def open(self, context: "ExecutionContext") -> None:
+        super().open(context)
+        self._arg_kernels = [
+            self.compile_kernel(compile_batch_expression, expression, self._input_schema)
+            for expression in self.arg_expressions
+        ]
+
+    def process(self, batch: RowBatch, slot: int) -> None:
+        arguments = argument_tuples(self._arg_kernels, self.arg_expressions, batch)
+        for row, args in zip(batch.to_rows(), arguments):
+            self._submit(row, args)
+
+    def _submit(self, row: Row, args: tuple[Any, ...]) -> None:
         payload: dict[str, Any] = {"args": args, "row": row.to_dict()}
         for parameter, value in zip(self.spec.parameters, args):
             payload[parameter.name] = value
@@ -83,5 +101,5 @@ class CrowdGenerateOperator(Operator):
     def _on_result(self, row: Row, result: TaskResult) -> None:
         reduced = result.reduced if isinstance(result.reduced, dict) else {}
         values = [reduced.get(ret.name) for ret in self.spec.returns]
-        self.emit(row.extended(self._new_columns, values))
+        self.emit(RowBatch.single(row.extended(self._new_columns, values)))
         self._task_finished()

@@ -22,7 +22,6 @@ from repro.storage import accel
 from repro.storage.batch import RowBatch
 from repro.storage.expressions import ColumnRef, Expression, compile_batch_expression
 from repro.storage.indexes import HashIndex
-from repro.storage.row import Row
 from repro.storage.schema import Schema
 
 __all__ = ["LocalHashJoinOperator"]
@@ -67,6 +66,8 @@ class LocalHashJoinOperator(Operator):
         self.left_key = left_key
         self.right_key = right_key
         self.build_side = build_side
+        self._left_schema = left_schema
+        self._right_schema = right_schema
         self._schema = left_schema.concat(right_schema)
         self._left_batches: list[RowBatch] = []
         self._right_batches: list[RowBatch] = []
@@ -75,20 +76,13 @@ class LocalHashJoinOperator(Operator):
     def output_schema(self) -> Schema:
         return self._schema
 
-    def consumed_input(self) -> list[tuple[Row, int]]:
-        rows = [
-            (row, 0) for batch in self._left_batches for row in batch.to_rows()
+    def consumed_input(self) -> list[tuple[RowBatch, int]]:
+        return [(batch, 0) for batch in self._left_batches] + [
+            (batch, 1) for batch in self._right_batches
         ]
-        rows += [
-            (row, 1) for batch in self._right_batches for row in batch.to_rows()
-        ]
-        return rows
 
-    def _process_batches(self, batch: RowBatch, slot: int) -> None:
+    def process(self, batch: RowBatch, slot: int) -> None:
         (self._left_batches if slot == 0 else self._right_batches).append(batch)
-
-    def _process(self, row: Row, slot: int) -> None:
-        self._process_batches(RowBatch.single(row), slot)
 
     def _index_backed_build(
         self, build: RowBatch, build_key: Expression, build_child: int
@@ -183,12 +177,7 @@ class LocalHashJoinOperator(Operator):
         return True, (build_take, probe_take)
 
     def _on_inputs_finished(self) -> None:
-        left_schema = (
-            self.children[0].output_schema if self.children else self._schema
-        )
-        right_schema = (
-            self.children[1].output_schema if len(self.children) > 1 else self._schema
-        )
+        left_schema, right_schema = self._left_schema, self._right_schema
         left = RowBatch.vstack(left_schema, self._left_batches)
         right = RowBatch.vstack(right_schema, self._right_batches)
         self._left_batches.clear()
@@ -211,7 +200,7 @@ class LocalHashJoinOperator(Operator):
                     out = left._take_array(build_take).concat(right._take_array(probe_take))
                 else:
                     out = left._take_array(probe_take).concat(right._take_array(build_take))
-                self.emit_rowbatch(out)
+                self.emit(out)
             return
 
         buckets = self._index_backed_build(build, build_key, build_child)
@@ -243,4 +232,4 @@ class LocalHashJoinOperator(Operator):
             out = left.take(build_take).concat(right.take(probe_take))
         else:
             out = left.take(probe_take).concat(right.take(build_take))
-        self.emit_rowbatch(out)
+        self.emit(out)

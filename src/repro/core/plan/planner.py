@@ -48,7 +48,7 @@ from repro.core.plan.logical import (
 )
 from repro.core.plan.physical import PhysicalCandidate, PhysicalPlanner
 from repro.core.plan.registry import RegisteredTask, TaskRegistry
-from repro.errors import PlanError
+from repro.errors import PlanError, SchemaError
 from repro.storage.database import Database
 from repro.storage.expressions import (
     BooleanOp,
@@ -61,7 +61,7 @@ from repro.storage.expressions import (
     find_calls,
     walk,
 )
-from repro.storage.schema import Schema
+from repro.storage.schema import Column, Schema
 
 __all__ = ["PlannedQuery", "QueryPlanner"]
 
@@ -217,6 +217,7 @@ class QueryPlanner:
         else:
             upper.extend(sorts)
         rewritten_items = grouped_items
+        _check_columns(scans, upper, rewritten_items)
         if statement.limit is not None:
             upper.append(LogicalLimit(statement.limit))
         upper.append(LogicalProject(tuple(rewritten_items)))
@@ -471,6 +472,57 @@ class QueryPlanner:
 
 
 # -- helpers -------------------------------------------------------------------------------------------
+
+
+def _check_columns(
+    scans: dict[str, LogicalScan],
+    upper: list,
+    select_items: list[SelectItem],
+) -> None:
+    """Resolve every column reference above the table pipelines.
+
+    Walks the upper nodes in execution order, tracking the columns each
+    one sees the way its operator will, so an unknown or ambiguous name
+    in SELECT, GROUP BY, ORDER BY or an aggregate is a :class:`PlanError`
+    at submit (WHERE is checked during classification) instead of a
+    SchemaError when the operator opens mid-drain.
+    """
+    schemas = [scan.table.schema.qualified(scan.binding) for scan in scans.values()]
+    scope = schemas[0]
+    for schema in schemas[1:]:
+        scope = scope.concat(schema)
+    for node in upper:
+        if isinstance(node, LogicalGenerate):
+            _resolve(scope, node.call.args, "SELECT")
+            scope = Schema(
+                scope.columns
+                + tuple(Column(f"{node.output_prefix}.{ret.name}") for ret in node.spec.returns)
+            )
+        elif isinstance(node, LogicalSort) and not node.is_crowd:
+            _resolve(scope, [node.key], "ORDER BY")
+        elif isinstance(node, LogicalGroupBy):
+            _resolve(scope, [ColumnRef(name) for name in node.group_columns], "GROUP BY")
+            _resolve(
+                scope,
+                [agg.expression for agg in node.aggregates if agg.expression is not None],
+                "SELECT",
+            )
+            scope = Schema.of(
+                *(scope.column(name) for name in node.group_columns),
+                *(Column(aggregate.alias) for aggregate in node.aggregates),
+            )
+    _resolve(scope, [item.expression for item in select_items], "SELECT")
+
+
+def _resolve(scope: Schema, expressions, clause: str) -> None:
+    """Raise :class:`PlanError` for a column reference ``scope`` cannot resolve."""
+    for expression in expressions:
+        for node in walk(expression):
+            if isinstance(node, ColumnRef):
+                try:
+                    scope.index_of(node.name)
+                except SchemaError as error:
+                    raise PlanError(f"{clause}: {error}") from None
 
 
 def _split_conjuncts(expression: Expression | None) -> list[Expression]:

@@ -334,6 +334,11 @@ class QurkEngine:
         if effective_budget is None:
             effective_budget = query_config.budget
         query_config.budget = effective_budget
+        # Lower before the submission consumes a query id or a journal
+        # record: a statement the planner rejects leaves no trace, so
+        # recovery never replays it.
+        planner = QueryPlanner(self.database, self.registry, self.optimizer, config=query_config)
+        logical = prepared.lowered(planner)
 
         self._next_query_seq += 1
         query_id = f"q{self._next_query_seq}"
@@ -353,8 +358,7 @@ class QurkEngine:
                 },
             )
         self.budget_ledger.register(query_id, effective_budget)
-        planner = QueryPlanner(self.database, self.registry, self.optimizer, config=query_config)
-        planned = planner.plan(prepared.lowered(planner), query_id=query_id)
+        planned = planner.plan(logical, query_id=query_id)
         context = ExecutionContext(
             query_id=query_id,
             database=self.database,

@@ -25,7 +25,7 @@ from repro.core.optimizer.budget import BudgetLedger
 from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.tasks.task_manager import TaskManager
 from repro.crowd import MTurkSimulator, PopulationMix, SimulationClock, WorkerPool
-from repro.errors import OperatorError
+from repro.errors import ExpressionError, OperatorError
 from repro.storage import (
     Arithmetic,
     ColumnRef,
@@ -188,6 +188,46 @@ class TestCrowdGenerateOperator:
             rows, company_column="companies.companyName", ceo_column="findCEO.CEO"
         )
         assert accuracy == 1.0
+
+
+    @pytest.mark.parametrize(
+        "arguments",
+        [
+            # One argument: the string in row 2 is the first failure.
+            [Arithmetic("-", ColumnRef("t.a"), Literal(1))],
+            # Two arguments: the first fails at row 4 (row 3 is NULL), the
+            # second at row 1, so per-row evaluation reports the second.
+            [
+                Arithmetic("*", ColumnRef("t.a"), Literal(2)),
+                Arithmetic("+", ColumnRef("t.b"), Literal(1)),
+            ],
+        ],
+    )
+    def test_argument_error_matches_per_row_evaluation(self, companies, arguments):
+        database, context = build_runtime({"findCEO": companies.oracle()})
+        table = database.create_table("t", [("a", DataType.ANY), ("b", DataType.ANY)])
+        if len(arguments) == 1:
+            table.insert_many([(1, 0), (2, 0), ("x", 0), (4, 0), ("y", 0)])
+        else:
+            table.insert_many([(1, 0), (2, "p"), (3, 0), (None, 0), ({}, "q")])
+        scan = ScanOperator(table)
+        expected = None
+        for row in table.to_batch().with_schema(scan.output_schema).to_rows():
+            try:
+                for argument in arguments:
+                    argument.evaluate(row)
+            except ExpressionError as error:
+                expected = str(error)
+                break
+        assert expected is not None
+        generate = CrowdGenerateOperator(
+            companies.findceo_spec(assignments=1), arguments, scan.output_schema
+        )
+        generate.add_child(scan)
+        sink, _results = sink_for(generate, database)
+        with pytest.raises(ExpressionError) as raised:
+            execute(sink, context)
+        assert str(raised.value) == expected
 
 
 class TestCrowdJoinOperator:

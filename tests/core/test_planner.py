@@ -23,6 +23,7 @@ from repro.core.optimizer.statistics import StatisticsManager
 from repro.core.plan.planner import QueryPlanner
 from repro.core.plan.registry import TaskRegistry
 from repro.errors import PlanError
+from repro.experiments import build_products_engine
 from repro.storage import Database
 from repro.workloads import CelebrityWorkload, CompaniesWorkload, ProductsWorkload
 
@@ -136,6 +137,47 @@ class TestFilterPlanning:
         statement = parse_select("SELECT name FROM products WHERE nonexistent > 3")
         with pytest.raises(PlanError, match="unknown column"):
             planner.plan(statement)
+
+
+UNKNOWN_COLUMN_SQL = [
+    "SELECT nope FROM products",
+    "SELECT name FROM products ORDER BY nope",
+    "SELECT count(nope) AS n FROM products",
+]
+
+
+class TestUnknownColumnsRejectedAtSubmit:
+    """Unknown SELECT, ORDER BY and aggregate columns are plan errors, not drain errors."""
+
+    @pytest.mark.parametrize("sql", UNKNOWN_COLUMN_SQL)
+    def test_query_and_explain_raise_plan_error(self, sql):
+        engine = build_products_engine(n_products=6, seed=5).engine
+        with pytest.raises(PlanError, match="unknown column 'nope'"):
+            engine.query(sql)
+        with pytest.raises(PlanError, match="unknown column 'nope'"):
+            engine.explain(sql)
+
+    def test_co_submitted_valid_query_still_returns_its_rows(self):
+        engine = build_products_engine(n_products=6, seed=5).engine
+        valid = engine.query("SELECT name FROM products")
+        for sql in UNKNOWN_COLUMN_SQL:
+            with pytest.raises(PlanError):
+                engine.query(sql)
+        engine.scheduler.drain()
+        assert len(valid.results()) == 6
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT category, count(name) AS n FROM products GROUP BY nope",
+            "SELECT category, count(name) AS n FROM products GROUP BY category ORDER BY price",
+            "SELECT findCEO(nope).CEO FROM companies",
+        ],
+    )
+    def test_group_sort_and_generate_references_are_resolved(self, environment, sql):
+        planner, _db = environment
+        with pytest.raises(PlanError, match="unknown column"):
+            planner.plan(parse_select(sql))
 
 
 class TestOrderGroupLimitPlanning:

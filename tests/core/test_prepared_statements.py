@@ -67,7 +67,7 @@ class TestKeys:
         engine = small_engine()
         sql = "SELECT t.id, t.id + 1 AS next FROM t WHERE t.id > 0"
         compiled = []
-        for name in ("compile_expression", "compile_batch_expression", "compile_batch_predicate"):
+        for name in ("compile_batch_expression", "compile_batch_predicate"):
             original = getattr(project, name)
 
             def counting(expression, schema, _original=original):

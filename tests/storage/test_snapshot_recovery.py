@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.engine import QurkEngine
-from repro.errors import QurkError, RecoveryError, SnapshotError
+from repro.errors import PlanError, QurkError, RecoveryError, SnapshotError
 from repro.storage.durability import DurabilityConfig
 from repro.storage.snapshot import (
     load_latest_snapshot,
@@ -22,6 +22,7 @@ from repro.testing.crashpoints import (
     recovered_query_count,
     reference_fingerprint,
     run_durable,
+    run_phases,
 )
 
 
@@ -189,6 +190,18 @@ class TestRecoveredStateFidelity:
         run_durable(scenario, tmp_path, fsync="interval", crash_at=10_000)
         result = QurkEngine.recover(tmp_path)
         assert result.snapshot_lsn is not None
+        n = recovered_query_count(result)
+        assert n == scenario.total_submissions
+        assert recovered_fingerprint(result) == reference_fingerprint(scenario, n)
+
+    def test_plan_rejection_leaves_recovery_equal_to_the_reference(self, tmp_path):
+        """A submission the planner rejects consumes no query id and no record."""
+        scenario, engine = _durable_engine(tmp_path, snapshot_every=None)
+        with pytest.raises(PlanError):
+            engine.query("SELECT name FROM products WHERE nope = 1")
+        run_phases(engine, scenario)  # no checkpoint: recovery replays the whole log
+        engine.journal.wal.simulate_crash()
+        result = QurkEngine.recover(tmp_path)
         n = recovered_query_count(result)
         assert n == scenario.total_submissions
         assert recovered_fingerprint(result) == reference_fingerprint(scenario, n)

@@ -50,15 +50,17 @@ class TestRejectedSubmissions:
         assert submit(worker, FILTER_SQL, "cq1")["ok"]
         assert not submit(worker, "SELEC nonsense", "cq2")["ok"]
         assert not submit(worker, "SELECT FROM", "cq3")["ok"]
-        assert submit(worker, FILTER_SQL, "cq4")["ok"]
+        # Rejected by the planner, after parsing succeeded.
+        assert not submit(worker, "SELECT name FROM products WHERE nope = 1", "cq4")["ok"]
+        assert submit(worker, FILTER_SQL, "cq5")["ok"]
         worker.handle({"op": "drain"})
 
         restarted = restart(worker, durability)
         assert {cid: h.query_id for cid, h in restarted._handles.items()} == {
             "cq1": "q1",
-            "cq4": "q2",
+            "cq5": "q2",
         }
-        assert restarted._order == ["cq1", "cq4"]
+        assert restarted._order == ["cq1", "cq5"]
 
     def test_recovery_refuses_a_non_injective_alias_map(self, tmp_path):
         durability = {"directory": str(tmp_path / "shard0")}
